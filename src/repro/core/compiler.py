@@ -113,7 +113,7 @@ class _StageBuilder:
     ):
         self.iconf = iconf
         self.cluster = cluster
-        self.batch_size = max(1, int(batch_size))
+        self.batch_size = batch_size
         self.reuse = reuse
         self.build = build
         self.stages: List[StageSpec] = []

@@ -118,7 +118,9 @@ class EFindRunner:
         self.cluster = cluster
         self.dfs = dfs
         self.fault_plan = fault_plan
-        self.batch_size = max(1, int(batch_size))
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+        self.batch_size = batch_size
         # Cross-job lookup-result reuse: a ReuseSession (or bare
         # ReuseStore) whose state outlives each job this runner runs.
         self.reuse = reuse

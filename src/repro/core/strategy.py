@@ -14,7 +14,8 @@ This mirrors the paper's intermediate form
 Lookup charging. A lookup from a node hosting the key's index partition
 costs ``T_j``; from anywhere else it additionally pays the network
 transfer ``(Sik + Siv)/BW``. Cache-strategy lookups pay a ``T_cache``
-probe first and the full cost only on a miss.
+probe first and the full cost only on a miss. Both lookup stages
+charge through one base, :class:`_IndexStage`.
 
 Cache hierarchy. Within a task the dedup memo is probed first, then the
 node-local LRU (cache strategy only), then -- when a
@@ -105,25 +106,203 @@ class PreProcessFn(ChainedFunction):
         return f"pre[{self.operator_id}]"
 
 
-class _BuildGate:
-    """Shared partial-index plumbing for the lookup stages.
+class _IndexStage:
+    """Everything a lookup stage (:class:`LookupFn`,
+    :class:`GroupLookupReducer`) does to fetch a key: the locality test,
+    the per-lookup charge of Table 1, the single fetch, the multiget,
+    the partial-index scan, and the cross-job reuse tier.
 
-    Host classes set ``self.build`` (a
-    :class:`repro.indices.build.BuildSession` or None) and provide
-    ``self.accessor``, ``self.index_id``, and ``self.stats``. With no
-    session attached every method is a no-op and the lookup paths are
-    bit-identical to the pre-build-subsystem ones.
+    Host classes set ``self.accessor``, ``self.operator_id``,
+    ``self.index_id``, ``self.stats``, ``self.build`` (a
+    :class:`repro.indices.build.BuildSession` or None) and
+    ``self.reuse`` (a :class:`repro.core.reuse.ReuseStore` or None).
 
-    A key the partial index does not cover yet cannot take the indexed
-    path at all: it is served by a *scan-assisted lookup* -- the store
-    scans the unindexed partition remainder, costing
-    ``scan_multiplier * T_j`` -- and bypasses the LRU cache, the
+    Charging. Every lookup -- single, scan, or one key of a loop
+    fallback -- goes through :meth:`_charge_lookup`: ``T_j`` when local,
+    ``(Sik + Siv)/BW + T_j`` plus latency when remote. A native multiget
+    is priced by the same two time-model terms with the amortised
+    ``C_req + B*C_key`` in place of ``T_j`` and the group's summed bytes.
+
+    Partial indexes. A key the partial index does not cover yet cannot
+    take the indexed path at all: it is served by a *scan-assisted
+    lookup* -- the store scans the unindexed partition remainder,
+    costing ``scan_multiplier * T_j`` -- and bypasses the LRU cache, the
     ReuseStore, and the adjacent-dedup memo (none of which exist on a
     scan path). Coverage checks themselves charge zero simulated time.
+    With no session attached the build gate is a no-op.
+
+    Reuse. Probes charge **zero** simulated time: with a cold or
+    invalidated store the enabled path charges exactly what the
+    disabled path does, so reuse can only elide fetches, never add cost.
     """
 
     build = None
+    reuse = None
+    assume_local = False
+    #: Wrap each single fetch in its own ``lookup`` op span (the
+    #: reducer's; LookupFn opens its span around the whole cache
+    #: hierarchy instead).
+    _FETCH_OP_SPAN = False
 
+    def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
+        local = self.assume_local or (
+            ctx.node.hostname in self.accessor.hosts_for_key(ik)
+        )
+        if local and self.assume_local:
+            # Index locality scheduled this task onto a replica host,
+            # but that replica may since have died: hosts_for_key only
+            # lists live hosts, so re-check and fall back to a remote
+            # lookup against a surviving replica.
+            plan = getattr(self.accessor.index, "fault_plan", None)
+            if plan is not None and plan.dead_hosts:
+                hosts = self.accessor.hosts_for_key(ik)
+                if hosts and ctx.node.hostname not in hosts:
+                    local = False
+                    ctx.counters.increment("fault", "locality_fallbacks")
+        return local
+
+    def _charge_lookup(self, ik, values, tj: float, local: bool, ctx) -> None:
+        tm = ctx.time_model
+        if local:
+            ctx.charge(tm.local_lookup_time(tj))
+        else:
+            ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj))
+
+    def _record_lookups(self, ctx, n: int, tj: float, siv_bytes: float) -> None:
+        sample = self.stats.sample_for(ctx.task_id)
+        j = self.index_id
+        sample.lookups[j] = sample.lookups.get(j, 0) + n
+        sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * n
+        sample.tj_samples[j] = sample.tj_samples.get(j, 0) + n
+        sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + siv_bytes
+
+    def _fetch(self, ik: Any, ctx: TaskContext) -> List[Any]:
+        t0 = ctx.charged_time
+        values = self.accessor.lookup(ik, ctx)
+        tj = self.accessor.service_time()
+        local = self._is_local(ik, ctx)
+        self._charge_lookup(ik, values, tj, local, ctx)
+        ctx.counters.increment("lookup", "fetches")
+        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
+        if ctx.trace is not None:
+            if self._FETCH_OP_SPAN:
+                ctx.trace.charged_span(
+                    "lookup",
+                    "op",
+                    t0,
+                    ctx.charged_time,
+                    DEPTH_OP,
+                    op=self.operator_id,
+                    index=self.index_id,
+                    local=local,
+                )
+            ctx.trace.charged_span(
+                "index.fetch",
+                "op",
+                t0,
+                ctx.charged_time,
+                DEPTH_DETAIL,
+                index=self.index_id,
+                local=local,
+            )
+        if self.stats is not None:
+            self._record_lookups(ctx, 1, tj, sizeof(tuple(values)))
+        return values
+
+    def _fetch_batch(self, keys: List[Any], nrecords: int, ctx) -> dict:
+        """Resolve the distinct ``keys`` with one multiget and admit the
+        results to the reuse tier; returns ``{key: values tuple}``.
+
+        Charging: local and remote keys are split exactly as in
+        :meth:`_fetch` (the re-partitioning and index-locality legs
+        batch within their local partition, so locality is never
+        broken). An index with a native multiget is charged the
+        amortised ``C_req + B*C_key`` per group and a single network
+        latency; the loop fallback pays the same per-key cost as
+        unbatched lookups.
+        """
+        tm = ctx.time_model
+        t0 = ctx.charged_time
+        value_lists = self.accessor.lookup_batch(keys, ctx)
+        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
+        tj = self.accessor.service_time()
+        native = self.accessor.supports_batch
+
+        local_keys: List[Any] = []
+        remote_keys: List[Any] = []
+        for ik in keys:
+            (local_keys if self._is_local(ik, ctx) else remote_keys).append(ik)
+
+        ctx.counters.increment("batch", "batches_issued")
+        ctx.counters.increment("batch", "keys_batched", len(keys))
+
+        if native:
+            if local_keys:
+                ctx.charge(
+                    tm.local_lookup_time(
+                        self.accessor.batch_service_time(len(local_keys))
+                    )
+                )
+            if remote_keys:
+                ctx.charge(
+                    tm.remote_lookup_time(
+                        sum(sizeof(ik) for ik in remote_keys),
+                        sum(sizeof(results[ik]) for ik in remote_keys),
+                        self.accessor.batch_service_time(len(remote_keys)),
+                    )
+                )
+        else:
+            # No native multiget: the fallback is a loop, charged
+            # exactly like the equivalent sequence of single lookups.
+            for ik in local_keys:
+                self._charge_lookup(ik, results[ik], tj, True, ctx)
+            for ik in remote_keys:
+                self._charge_lookup(ik, results[ik], tj, False, ctx)
+
+        ctx.counters.increment("lookup", "fetches", len(keys))
+        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
+        if ctx.trace is not None:
+            ctx.trace.charged_span(
+                "lookup.batch",
+                "op",
+                t0,
+                ctx.charged_time,
+                DEPTH_OP,
+                op=self.operator_id,
+                index=self.index_id,
+                keys=len(keys),
+                records=nrecords,
+                native=native,
+            )
+
+        if self.stats is not None:
+            self._record_lookups(
+                ctx, len(keys), tj, sum(sizeof(results[ik]) for ik in keys)
+            )
+            if native:
+                sample = self.stats.sample_for(ctx.task_id)
+                j = self.index_id
+                groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
+                sample.batches[j] = sample.batches.get(j, 0) + groups
+                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + len(keys)
+                sample.c_req_total[j] = (
+                    sample.c_req_total.get(j, 0.0)
+                    + groups * self.accessor.batch_request_overhead()
+                )
+                sample.c_key_total[j] = (
+                    sample.c_key_total.get(j, 0.0)
+                    + len(keys) * self.accessor.batch_key_time()
+                )
+
+        if self.reuse is not None:
+            admit_cost = self._reuse_admit_cost(len(keys))
+            for ik in keys:
+                self._reuse_admit(ik, ctx, results[ik], admit_cost)
+        return results
+
+    # ------------------------------------------------------------------
+    # Partial-index build gate
+    # ------------------------------------------------------------------
     def _build_uncovered(self, ik, ctx) -> bool:
         """True when ``ik`` must scan; also records the per-task
         coverage observation either way."""
@@ -140,8 +319,8 @@ class _BuildGate:
 
     def _scan_fetch(self, ik, ctx) -> List[Any]:
         """Serve an uncovered key by scan: same values, same fault
-        semantics, ``scan_multiplier * T_j`` service time."""
-        tm = ctx.time_model
+        semantics, ``scan_multiplier * T_j`` service time. Locality is
+        the key's host list, without index locality's assumption."""
         t0 = ctx.charged_time
         values = self.accessor.lookup(ik, ctx)
         tj_scan = (
@@ -149,12 +328,7 @@ class _BuildGate:
             * self.build.scan_multiplier(self.accessor.name)
         )
         local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
-        if local:
-            ctx.charge(tm.local_lookup_time(tj_scan))
-        else:
-            ctx.charge(
-                tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj_scan)
-            )
+        self._charge_lookup(ik, values, tj_scan, local, ctx)
         ctx.counters.increment("build", "unindexed_lookups")
         ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
         if ctx.trace is not None:
@@ -176,20 +350,9 @@ class _BuildGate:
             )
         return values
 
-
-class _ReuseTier:
-    """Shared cross-job ReuseStore plumbing for the lookup stages.
-
-    Host classes set ``self.reuse`` (a
-    :class:`repro.core.reuse.ReuseStore` or None) and provide
-    ``self.accessor``, ``self.index_id``, ``self.stats``, and
-    ``self._fetch``. Probes charge **zero** simulated time: with a cold
-    or invalidated store the enabled path charges exactly what the
-    disabled path does, so reuse can only elide fetches, never add cost.
-    """
-
-    reuse = None
-
+    # ------------------------------------------------------------------
+    # Cross-job reuse tier
+    # ------------------------------------------------------------------
     def _reuse_probe(self, ik, ctx):
         """Probe the cross-job store; the values tuple on a hit, else
         None (misses and stale drops both fetch)."""
@@ -274,7 +437,7 @@ class _ReuseTier:
             sample.reuse_hits[j] = sample.reuse_hits.get(j, 0) + 1
 
 
-class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
+class LookupFn(_IndexStage, ChainedFunction):
     """Performs one index's lookups inline (baseline / cache / the
     post-shuffle leg of re-partitioning and index locality).
 
@@ -323,7 +486,7 @@ class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
         self.dedup_adjacent = dedup_adjacent
         self.assume_local = assume_local
         self.record_sidx = record_sidx
-        self.batch_size = max(1, int(batch_size))
+        self.batch_size = batch_size
         self.reuse = reuse
         self.build = build
         self._node_caches: dict = {}
@@ -462,58 +625,6 @@ class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
             self._memo_values = tuple(values)
         return values
 
-    def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
-        local = self.assume_local or (
-            ctx.node.hostname in self.accessor.hosts_for_key(ik)
-        )
-        if local and self.assume_local:
-            # Index locality scheduled this task onto a replica host,
-            # but that replica may since have died: hosts_for_key only
-            # lists live hosts, so re-check and fall back to a remote
-            # lookup against a surviving replica.
-            plan = getattr(self.accessor.index, "fault_plan", None)
-            if plan is not None and plan.dead_hosts:
-                hosts = self.accessor.hosts_for_key(ik)
-                if hosts and ctx.node.hostname not in hosts:
-                    local = False
-                    ctx.counters.increment("fault", "locality_fallbacks")
-        return local
-
-    def _fetch(self, ik: Any, ctx: TaskContext) -> List[Any]:
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        values = self.accessor.lookup(ik, ctx)
-        tj = self.accessor.service_time()
-        local = self._is_local(ik, ctx)
-        if local:
-            ctx.charge(tm.local_lookup_time(tj))
-        else:
-            ctx.charge(
-                tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj)
-            )
-        ctx.counters.increment("lookup", "fetches")
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "index.fetch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                index=self.index_id,
-                local=local,
-            )
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + 1
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + 1
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sizeof(
-                tuple(values)
-            )
-        return values
-
     def _record_cache_stats(self, ctx, hit: bool) -> None:
         if self.stats is None:
             return
@@ -620,103 +731,16 @@ class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
 
     def _flush(self, collector, ctx: TaskContext) -> None:
         """Resolve all pending keys with one multiget and emit the
-        pending records, in arrival order.
-
-        Charging: local and remote keys are split exactly as in
-        :meth:`_fetch` (the re-partitioning and index-locality legs
-        batch within their local partition, so locality is never
-        broken). An index with a native multiget is charged the
-        amortised ``C_req + B*C_key`` per group and a single network
-        latency; the loop fallback pays the same per-key cost as
-        unbatched lookups.
-        """
+        pending records, in arrival order."""
         if not self._pending_records:
             return
-        tm = ctx.time_model
-        t0 = ctx.charged_time
         keys = self._pending_keys
         records = self._pending_records
         self._pending_records = []
         self._pending_keys = []
         self._pending_key_set = set()
 
-        value_lists = self.accessor.lookup_batch(keys, ctx)
-        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
-        tj = self.accessor.service_time()
-
-        local_keys: List[Any] = []
-        remote_keys: List[Any] = []
-        for ik in keys:
-            (local_keys if self._is_local(ik, ctx) else remote_keys).append(ik)
-
-        ctx.counters.increment("batch", "batches_issued")
-        ctx.counters.increment("batch", "keys_batched", len(keys))
-
-        if self.accessor.supports_batch:
-            if local_keys:
-                ctx.charge(
-                    tm.local_batch_lookup_time(
-                        self.accessor.batch_service_time(len(local_keys))
-                    )
-                )
-            if remote_keys:
-                ctx.charge(
-                    tm.remote_batch_lookup_time(
-                        sum(sizeof(ik) for ik in remote_keys),
-                        sum(sizeof(results[ik]) for ik in remote_keys),
-                        self.accessor.batch_service_time(len(remote_keys)),
-                    )
-                )
-        else:
-            # No native multiget: the fallback is a loop, charged
-            # exactly like the equivalent sequence of single lookups.
-            for ik in local_keys:
-                ctx.charge(tm.local_lookup_time(tj))
-            for ik in remote_keys:
-                ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(results[ik]), tj))
-
-        ctx.counters.increment("lookup", "fetches", len(keys))
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "lookup.batch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_OP,
-                op=self.operator_id,
-                index=self.index_id,
-                keys=len(keys),
-                records=len(records),
-                native=self.accessor.supports_batch,
-            )
-
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + len(keys)
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * len(keys)
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + len(keys)
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(
-                sizeof(results[ik]) for ik in keys
-            )
-            if self.accessor.supports_batch:
-                groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
-                sample.batches[j] = sample.batches.get(j, 0) + groups
-                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + len(keys)
-                sample.c_req_total[j] = (
-                    sample.c_req_total.get(j, 0.0)
-                    + groups * self.accessor.batch_request_overhead()
-                )
-                sample.c_key_total[j] = (
-                    sample.c_key_total.get(j, 0.0)
-                    + len(keys) * self.accessor.batch_key_time()
-                )
-
-        if self.reuse is not None:
-            admit_cost = self._reuse_admit_cost(len(keys))
-            for ik in keys:
-                self._reuse_admit(ik, ctx, results[ik], admit_cost)
+        results = self._fetch_batch(keys, len(records), ctx)
         if self.use_cache:
             cache = self._node_caches.setdefault(
                 ctx.node.hostname, LRUCache(self.cache_capacity)
@@ -807,7 +831,7 @@ class KeyByIkFn(ChainedFunction):
         return f"keyby[{self.operator_id}.{self.index_id}]"
 
 
-class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
+class GroupLookupReducer(_IndexStage, Reducer):
     """Reduce side of a shuffle job with the boundary *after* the
     lookup: one lookup per distinct key, results fanned back out to
     every carrier of the group.
@@ -817,6 +841,8 @@ class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
     multiget per ``batch_size`` groups; ``batch_size=1`` is the exact
     unbatched path.
     """
+
+    _FETCH_OP_SPAN = True
 
     def __init__(
         self,
@@ -833,7 +859,7 @@ class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
         self.index_id = index_id
         self.accessor = operator.accessors[index_id]
         self.stats = stats
-        self.batch_size = max(1, int(batch_size))
+        self.batch_size = batch_size
         self.reuse = reuse
         self.build = build
         self._pending_groups: list = []
@@ -842,34 +868,28 @@ class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
         self._pending_groups = []
 
     def reduce(self, ik, carriers, collector, ctx):
-        if ik is not None and self._build_uncovered(ik, ctx):
-            # One scan per distinct key (the shuffle already grouped the
-            # duplicates); uncovered groups never batch.
-            values = self._scan_fetch(ik, ctx)
-            self._emit_group(ik, carriers, (tuple(values),), collector)
-            return
-        if self.batch_size == 1:
-            if ik is None:
-                results: Tuple[Any, ...] = ()
-            else:
-                values = self._reuse_or_fetch(ik, ctx)
-                results = (tuple(values),)
-            self._emit_group(ik, carriers, results, collector)
-            return
         if ik is None:
             # Keyless records need no lookup: emit straight through.
             self._emit_group(ik, carriers, (), collector)
             return
-        reused = self._reuse_probe(ik, ctx)
-        if reused is not None:
-            # Reuse hit: emit the group immediately, exactly as a cache
-            # hit would on the map side. With a cold store this branch
+        if self._build_uncovered(ik, ctx):
+            # One scan per distinct key (the shuffle already grouped the
+            # duplicates); uncovered groups never batch.
+            values = self._scan_fetch(ik, ctx)
+        else:
+            values = self._reuse_probe(ik, ctx)
+            # A reuse hit emits the group immediately, exactly as a
+            # cache hit would on the map side. With a cold store it
             # never fires, so batching order is unchanged.
-            self._emit_group(ik, carriers, (tuple(reused),), collector)
-            return
-        self._pending_groups.append((ik, list(carriers)))
-        if len(self._pending_groups) >= self.batch_size:
-            self._flush(collector, ctx)
+            if values is None:
+                if self.batch_size > 1:
+                    self._pending_groups.append((ik, list(carriers)))
+                    if len(self._pending_groups) >= self.batch_size:
+                        self._flush(collector, ctx)
+                    return
+                values = self._fetch(ik, ctx)
+                self._reuse_admit(ik, ctx, values, self._reuse_admit_cost())
+        self._emit_group(ik, carriers, (tuple(values),), collector)
 
     def finish(self, collector, ctx):
         if self.batch_size > 1 and self._pending_groups:
@@ -889,139 +909,13 @@ class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
     def _flush(self, collector, ctx) -> None:
         if not self._pending_groups:
             return
-        tm = ctx.time_model
-        t0 = ctx.charged_time
         groups = self._pending_groups
         self._pending_groups = []
-
-        keys: List[Any] = []
-        seen: set = set()
-        for ik, _ in groups:
-            if ik not in seen:
-                seen.add(ik)
-                keys.append(ik)
-        value_lists = self.accessor.lookup_batch(keys, ctx)
-        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
-        tj = self.accessor.service_time()
-
-        local_keys: List[Any] = []
-        remote_keys: List[Any] = []
-        for ik in keys:
-            if ctx.node.hostname in self.accessor.hosts_for_key(ik):
-                local_keys.append(ik)
-            else:
-                remote_keys.append(ik)
-
-        ctx.counters.increment("batch", "batches_issued")
-        ctx.counters.increment("batch", "keys_batched", len(keys))
-
-        if self.accessor.supports_batch:
-            if local_keys:
-                ctx.charge(
-                    tm.local_batch_lookup_time(
-                        self.accessor.batch_service_time(len(local_keys))
-                    )
-                )
-            if remote_keys:
-                ctx.charge(
-                    tm.remote_batch_lookup_time(
-                        sum(sizeof(ik) for ik in remote_keys),
-                        sum(sizeof(results[ik]) for ik in remote_keys),
-                        self.accessor.batch_service_time(len(remote_keys)),
-                    )
-                )
-        else:
-            for ik in local_keys:
-                ctx.charge(tm.local_lookup_time(tj))
-            for ik in remote_keys:
-                ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(results[ik]), tj))
-
-        ctx.counters.increment("lookup", "fetches", len(keys))
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "lookup.batch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_OP,
-                op=self.operator_id,
-                index=self.index_id,
-                keys=len(keys),
-                records=len(groups),
-                native=self.accessor.supports_batch,
-            )
-
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + len(keys)
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * len(keys)
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + len(keys)
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(
-                sizeof(results[ik]) for ik in keys
-            )
-            if self.accessor.supports_batch:
-                ngroups = (1 if local_keys else 0) + (1 if remote_keys else 0)
-                sample.batches[j] = sample.batches.get(j, 0) + ngroups
-                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + len(keys)
-                sample.c_req_total[j] = (
-                    sample.c_req_total.get(j, 0.0)
-                    + ngroups * self.accessor.batch_request_overhead()
-                )
-                sample.c_key_total[j] = (
-                    sample.c_key_total.get(j, 0.0)
-                    + len(keys) * self.accessor.batch_key_time()
-                )
-
-        if self.reuse is not None:
-            admit_cost = self._reuse_admit_cost(len(keys))
-            for ik in keys:
-                self._reuse_admit(ik, ctx, results[ik], admit_cost)
-
+        # The shuffle hands each reduce call a distinct key, so the
+        # pending keys need no dedupe.
+        results = self._fetch_batch([ik for ik, _ in groups], len(groups), ctx)
         for ik, carriers in groups:
             self._emit_group(ik, carriers, (results[ik],), collector)
-
-    def _fetch(self, ik, ctx) -> List[Any]:
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        values = self.accessor.lookup(ik, ctx)
-        tj = self.accessor.service_time()
-        local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
-        if local:
-            ctx.charge(tm.local_lookup_time(tj))
-        else:
-            ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj))
-        ctx.counters.increment("lookup", "fetches")
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "lookup",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_OP,
-                op=self.operator_id,
-                index=self.index_id,
-                local=local,
-            )
-            ctx.trace.charged_span(
-                "index.fetch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                index=self.index_id,
-                local=local,
-            )
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + 1
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + 1
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sizeof(tuple(values))
-        return values
 
     @property
     def name(self) -> str:

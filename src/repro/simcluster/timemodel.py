@@ -128,7 +128,8 @@ class TimeModel:
     ) -> float:
         """Cost of one remote index lookup: ``(Sik + Siv)/BW + T_j``
         (Equation 1's inner term) at the per-request effective
-        throughput, plus the per-message latency."""
+        throughput, plus the per-message latency. A native multiget is
+        one message: its summed bytes and ``C_req + B*C_key``."""
         return (
             (key_bytes + value_bytes) / self.lookup_bandwidth
             + service_time
@@ -139,24 +140,6 @@ class TimeModel:
         """Cost of one index lookup served on the same node: ``T_j`` only
         (the index-locality strategy's pay-off, Equation 4)."""
         return service_time
-
-    def remote_batch_lookup_time(
-        self, key_bytes: float, value_bytes: float, batch_service_time: float
-    ) -> float:
-        """Cost of one remote *multiget*: the whole batch's key and value
-        bytes at lookup throughput, the amortised batch service time
-        (``C_req + B*C_key``), and a single per-message latency -- the
-        batch's round trips collapse into one request/response."""
-        return (
-            (key_bytes + value_bytes) / self.lookup_bandwidth
-            + batch_service_time
-            + self.network_latency
-        )
-
-    def local_batch_lookup_time(self, batch_service_time: float) -> float:
-        """Cost of one multiget served on the same node: the amortised
-        batch service time only."""
-        return batch_service_time
 
     def straggled(self, duration: float, factor: float) -> float:
         """Scale one task's duration by its node's straggler factor

@@ -47,6 +47,13 @@ class TestModes:
         assert res.plan.operators["head0"].strategies[0] is not Strategy.BASELINE
 
 
+class TestBatchSize:
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_below_one_rejected(self, efind_env, batch_size):
+        with pytest.raises(ValueError, match=str(batch_size)):
+            efind_env.runner(batch_size=batch_size)
+
+
 class TestCatalog:
     def test_update_catalog_records_stats(self, efind_env):
         runner = efind_env.runner()
