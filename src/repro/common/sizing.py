@@ -27,9 +27,38 @@ from typing import Any
 _CONTAINER_HEADER = 4
 _NUMBER_SIZE = 8
 
+#: Fixed sizes of the scalar types, keyed by *exact* type: subclasses
+#: (``IntEnum``, ...) miss the table and take the ``isinstance`` chain.
+_SCALAR_SIZES = {
+    int: _NUMBER_SIZE,
+    float: _NUMBER_SIZE,
+    bool: 1,
+    type(None): 1,
+}
+
 
 def sizeof(value: Any) -> int:
     """Return the estimated serialized size of ``value`` in bytes."""
+    # Fast paths on the exact type: records are mostly flat or nested
+    # tuples of scalars and strings, so a tuple/list sizes its scalar
+    # and ``str`` items inline instead of recursing into each.
+    cls = type(value)
+    if cls is tuple or cls is list:
+        total = _CONTAINER_HEADER
+        for item in value:
+            item_cls = type(item)
+            if item_cls is str:
+                total += len(item) if item.isascii() else len(item.encode("utf-8"))
+            else:
+                size = _SCALAR_SIZES.get(item_cls)
+                total += sizeof(item) if size is None else size
+        return total
+    if cls is str:
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
+    size = _SCALAR_SIZES.get(cls)
+    if size is not None:
+        return size
+    # Everything else, subclasses included: the general model.
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):

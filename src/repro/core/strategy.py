@@ -83,13 +83,13 @@ class PreProcessFn(ChainedFunction):
         out_key, out_value = self.operator.pre_process(key, value, index_input)
         ikl = index_input.as_tuple()
         carrier = make_carrier(out_value, ikl, (None,) * m)
-        collector.collect(out_key, carrier)
+        spre = collector.collect(out_key, carrier)
 
         if self.stats is not None:
             sample = self.stats.sample_for(ctx.task_id)
             sample.n1 += 1
             sample.s1_bytes += sizeof_pair(key, value)
-            sample.spre_bytes += sizeof_pair(out_key, carrier)
+            sample.spre_bytes += spre
             for j in range(m):
                 keys = ikl[j]
                 if not keys:
@@ -547,10 +547,9 @@ class LookupFn(_IndexStage, ChainedFunction):
         new_ivl = tuple(
             results if j == self.index_id else ivl[j] for j in range(len(ivl))
         )
-        carrier = make_carrier(v1, ikl, new_ivl)
-        collector.collect(key, carrier)
+        sidx = collector.collect(key, make_carrier(v1, ikl, new_ivl))
         if self.stats is not None and self.record_sidx:
-            self.stats.sample_for(ctx.task_id).sidx_bytes += sizeof_pair(key, carrier)
+            self.stats.sample_for(ctx.task_id).sidx_bytes += sidx
 
     # ------------------------------------------------------------------
     def _lookup(self, ik: Any, ctx: TaskContext) -> List[Any]:
@@ -967,8 +966,7 @@ class RecordMeter(ChainedFunction):
 
     def process(self, key, value, collector, ctx):
         self._count += 1
-        self._bytes += sizeof_pair(key, value)
-        collector.collect(key, value)
+        self._bytes += collector.collect(key, value)
 
     def finish(self, collector, ctx):
         self._on_batch(self._count, self._bytes)

@@ -20,15 +20,26 @@ Record = Tuple[Any, Any]
 
 
 class OutputCollector:
-    """Collects ``(key, value)`` emissions from one chain stage."""
+    """Collects ``(key, value)`` emissions from one chain stage.
+
+    Each pair is sized once, here: ``sizes`` holds every record's wire
+    size (parallel to ``records``) and ``bytes`` their total, so the
+    stage statistics and the task's spill, shuffle and output-store
+    charges reuse these sizes instead of walking the records again.
+    """
 
     def __init__(self) -> None:
         self.records: List[Record] = []
+        self.sizes: List[int] = []
         self.bytes: int = 0
 
-    def collect(self, key: Any, value: Any) -> None:
+    def collect(self, key: Any, value: Any) -> int:
+        """Emit one pair; returns its wire size."""
+        size = sizeof_pair(key, value)
         self.records.append((key, value))
-        self.bytes += sizeof_pair(key, value)
+        self.sizes.append(size)
+        self.bytes += size
+        return size
 
 
 class TaskContext:

@@ -9,7 +9,7 @@ ChainMapper semantics, which the EFind baseline strategy uses to splice
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, Sequence, Tuple
 
 from repro.mapreduce.api import ChainedFunction, OutputCollector, TaskContext
 
@@ -20,16 +20,22 @@ def run_chain(
     stages: Sequence[ChainedFunction],
     records: Iterable[Record],
     ctx: TaskContext,
-) -> List[Record]:
-    """Run ``records`` through every stage in order and return the final
-    emissions.
+) -> OutputCollector:
+    """Run ``records`` through every stage in order and return the last
+    stage's collector: the final emissions with their wire sizes and
+    byte total. With no stages the records pass through, sized once.
 
     Stages are executed stream-at-a-time (stage *i* fully consumes the
     stream before stage *i+1* starts), which matches the per-task
     buffering of chained Hadoop functions and lets ``finish`` implement
     buffered operators.
     """
-    current: List[Record] = list(records)
+    if not stages:
+        collector = OutputCollector()
+        for key, value in records:
+            collector.collect(key, value)
+        return collector
+    current = records
     for stage in stages:
         collector = OutputCollector()
         stage.start(ctx)
@@ -37,7 +43,7 @@ def run_chain(
             stage.process(key, value, collector, ctx)
         stage.finish(collector, ctx)
         current = collector.records
-    return current
+    return collector
 
 
 def chain_name(stages: Sequence[ChainedFunction]) -> str:

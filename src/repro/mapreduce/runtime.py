@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFlowError, TaskCrashError
-from repro.common.sizing import sizeof_records
+# Not called here (task byte counts reuse the collectors' sizes), but
+# kept importable by this name: perfbench/tracer.py wraps it here.
+from repro.common.sizing import sizeof_records  # noqa: F401
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.splits import InputSplit
 from repro.mapreduce.api import OutputCollector, TaskContext
@@ -72,6 +74,9 @@ class TaskRun:
     partition: int = -1
     output: List[Record] = field(default_factory=list)
     buckets: List[List[Record]] = field(default_factory=list)
+    # Byte total of each shuffle bucket (parallel to ``buckets``), summed
+    # from the sizes the map chain's collector took as it emitted.
+    bucket_sizes: List[int] = field(default_factory=list)
     # Pending TaskTraceBuffer; consumed (and cleared) once the scheduler
     # commit reveals the attempt's absolute start time.
     trace: Optional[Any] = None
@@ -655,20 +660,22 @@ class JobRunner:
                 local=local,
             )
             ctx.trace = buffer
-        output = run_chain(conf.map_chain, split.records, ctx)
-        out_bytes = sizeof_records(output)
+        collector = run_chain(conf.map_chain, split.records, ctx)
+        output, out_bytes = collector.records, collector.bytes
         cpu = tm.cpu_time(len(split.records), split.size_bytes)
 
         if conf.num_reduce_tasks > 0:
-            buckets = partition_records(output, conf.partitioner, conf.num_reduce_tasks)
+            buckets, bucket_sizes = partition_records(
+                output, conf.partitioner, conf.num_reduce_tasks, collector.sizes
+            )
             spill = tm.disk_write_time(out_bytes) + len(output) * tm.sort_cpu_per_record
             if conf.combiner is not None:
-                buckets, combine_time = self._combine_buckets(
+                buckets, bucket_sizes, combine_time = self._combine_buckets(
                     conf, buckets, ctx, tm
                 )
                 spill += combine_time
         else:
-            buckets = []
+            buckets, bucket_sizes = [], []
             spill = 0.0
 
         duration = tm.task_startup_time + read_time + cpu + ctx.charged_time + spill
@@ -702,6 +709,7 @@ class JobRunner:
             split_index=split.index,
             output=output,
             buckets=buckets,
+            bucket_sizes=bucket_sizes,
             trace=buffer,
         )
         # DFS-read profile for speculation: a backup copy on another
@@ -716,9 +724,11 @@ class JobRunner:
         """Run the map-side combiner on each partition bucket (Hadoop's
         combiner: a reducer applied before the shuffle to shrink it).
 
-        Returns the combined buckets plus their simulated cost.
+        Returns the combined buckets, their byte totals and their
+        simulated cost.
         """
         combined: List[List[Record]] = []
+        sizes: List[int] = []
         total_in = 0
         for bucket in buckets:
             groups = group_by_key(bucket)
@@ -728,13 +738,14 @@ class JobRunner:
                 conf.combiner.reduce(key, values, collector, ctx)
             conf.combiner.finish(collector, ctx)
             combined.append(collector.records)
+            sizes.append(collector.bytes)
             total_in += len(bucket)
         combine_time = total_in * tm.sort_cpu_per_record + tm.cpu_time(total_in)
         ctx.counters.increment("task", "combine_input_records", total_in)
         ctx.counters.increment(
             "task", "combine_output_records", sum(len(b) for b in combined)
         )
-        return combined, combine_time
+        return combined, sizes, combine_time
 
     # ------------------------------------------------------------------
     # Reduce phase
@@ -753,7 +764,7 @@ class JobRunner:
         partitions = list(range(conf.num_reduce_tasks))
         first_wave = min(scheduler.num_slots, len(partitions))
         checked = abort_check is None
-        side_buckets = partition_records(
+        side_buckets, side_sizes = partition_records(
             conf.side_reduce_inputs, conf.partitioner, conf.num_reduce_tasks
         )
 
@@ -767,6 +778,7 @@ class JobRunner:
                     node,
                     tm,
                     side_buckets[partition],
+                    side_sizes[partition],
                     attempt,
                 ),
                 defer_trace=engine is not None,
@@ -816,14 +828,25 @@ class JobRunner:
         return records
 
     def _execute_reduce_task(
-        self, conf, partition, map_runs, node, tm, side_records=(), attempt: int = 0
+        self,
+        conf,
+        partition,
+        map_runs,
+        node,
+        tm,
+        side_records=(),
+        side_bytes: int = 0,
+        attempt: int = 0,
     ) -> TaskRun:
         ctx = TaskContext(
             node, tm, task_id=f"{conf.name}-r{partition:04d}", attempt=attempt
         )
         records = self.reduce_input_for(map_runs, partition)
         records.extend(side_records)
-        in_bytes = bucket_bytes(records)
+        in_bytes = bucket_bytes(
+            [run.bucket_sizes[partition] for run in map_runs if run.buckets]
+            + [side_bytes]
+        )
         # Shuffle transfer: on average (N-1)/N of the input crosses the
         # network; the remainder is node-local map output.
         remote_fraction = max(0.0, 1.0 - 1.0 / self.cluster.num_nodes)
@@ -872,10 +895,9 @@ class JobRunner:
         for key, values in groups:
             reducer.reduce(key, values, collector, ctx)
         reducer.finish(collector, ctx)
-        output = collector.records
         if conf.reduce_post_chain:
-            output = run_chain(conf.reduce_post_chain, output, ctx)
-        out_bytes = sizeof_records(output)
+            collector = run_chain(conf.reduce_post_chain, collector.records, ctx)
+        output, out_bytes = collector.records, collector.bytes
 
         cpu = tm.cpu_time(len(records), in_bytes)
         store = tm.dfs_store_time(out_bytes) if conf.materialize_output else 0.0

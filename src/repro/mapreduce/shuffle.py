@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.sizing import sizeof_pair
 from repro.mapreduce.api import Partitioner
@@ -11,13 +11,28 @@ Record = Tuple[Any, Any]
 
 
 def partition_records(
-    records: Sequence[Record], partitioner: Partitioner, num_partitions: int
-) -> List[List[Record]]:
-    """Split one map task's output into per-reducer buckets."""
+    records: Sequence[Record],
+    partitioner: Partitioner,
+    num_partitions: int,
+    sizes: Optional[Sequence[int]] = None,
+) -> Tuple[List[List[Record]], List[int]]:
+    """Split one map task's output into per-reducer buckets.
+
+    Returns the buckets and each bucket's byte total. ``sizes`` holds
+    each record's wire size in record order (an
+    :class:`~repro.mapreduce.api.OutputCollector`'s ``sizes``); without
+    it every record is sized here, once.
+    """
+    if sizes is None:
+        sizes = [sizeof_pair(k, v) for k, v in records]
     buckets: List[List[Record]] = [[] for _ in range(num_partitions)]
-    for key, value in records:
-        buckets[partitioner.partition(key, num_partitions)].append((key, value))
-    return buckets
+    totals = [0] * num_partitions
+    partition = partitioner.partition
+    for (key, value), size in zip(records, sizes):
+        p = partition(key, num_partitions)
+        buckets[p].append((key, value))
+        totals[p] += size
+    return buckets, totals
 
 
 def group_by_key(records: Sequence[Record]) -> List[Tuple[Any, List[Any]]]:
@@ -32,11 +47,14 @@ def group_by_key(records: Sequence[Record]) -> List[Tuple[Any, List[Any]]]:
         grouped.setdefault(key, []).append(value)
     items = list(grouped.items())
     try:
-        items.sort(key=lambda kv: kv[0])
+        # Sort a copy: a comparison that raises part-way through an
+        # in-place sort would leave ``items`` partly sorted.
+        return sorted(items, key=lambda kv: kv[0])
     except TypeError:
-        pass
-    return items
+        return items
 
 
-def bucket_bytes(bucket: Sequence[Record]) -> int:
-    return sum(sizeof_pair(k, v) for k, v in bucket)
+def bucket_bytes(totals: Iterable[int]) -> int:
+    """A reduce task's input bytes: the byte totals of the buckets it
+    fetches, each summed once when its records were partitioned."""
+    return sum(totals)

@@ -35,6 +35,13 @@ class TestOutputCollector:
         c.collect("ab", 1)
         assert c.bytes == 2 + 8
 
+    def test_collect_returns_the_pair_size(self):
+        c = OutputCollector()
+        assert c.collect("ab", 1) == 2 + 8
+        assert c.collect("é", (1.5, None)) == 2 + (4 + 8 + 1)
+        assert c.sizes == [10, 15]
+        assert c.bytes == 25
+
 
 class TestTaskContext:
     def test_charge_accumulates(self, ctx):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.sizing import sizeof_pair, sizeof_records
 from repro.mapreduce.api import ChainedFunction, TaskContext
 from repro.mapreduce.chain import chain_name, run_chain
 from repro.simcluster.cluster import Cluster
@@ -49,31 +50,46 @@ class Buffered(ChainedFunction):
 class TestRunChain:
     def test_empty_chain_passthrough(self, ctx):
         records = [("a", 1), ("b", 2)]
-        assert run_chain([], records, ctx) == records
+        assert run_chain([], records, ctx).records == records
 
     def test_single_stage(self, ctx):
-        out = run_chain([Doubler()], [("a", 1)], ctx)
+        out = run_chain([Doubler()], [("a", 1)], ctx).records
         assert out == [("a", 2)]
 
     def test_stage_output_feeds_next(self, ctx):
-        out = run_chain([Doubler(), Doubler()], [("a", 1)], ctx)
+        out = run_chain([Doubler(), Doubler()], [("a", 1)], ctx).records
         assert out == [("a", 4)]
 
     def test_fanout_then_transform(self, ctx):
-        out = run_chain([Exploder(), Doubler()], [("a", 3)], ctx)
+        out = run_chain([Exploder(), Doubler()], [("a", 3)], ctx).records
         assert out == [("a", 6), ("a", 6)]
 
     def test_filter_stage(self, ctx):
-        out = run_chain([Dropper()], [("a", 1), ("b", 2), ("c", 4)], ctx)
+        out = run_chain([Dropper()], [("a", 1), ("b", 2), ("c", 4)], ctx).records
         assert out == [("b", 2), ("c", 4)]
 
     def test_finish_can_emit(self, ctx):
-        out = run_chain([Buffered()], [("a", 1), ("b", 2)], ctx)
+        out = run_chain([Buffered()], [("a", 1), ("b", 2)], ctx).records
         assert out == [("count", 2)]
 
     def test_order_preserved(self, ctx):
         records = [(i, i) for i in range(50)]
-        assert run_chain([Doubler()], records, ctx) == [(i, 2 * i) for i in range(50)]
+        assert run_chain([Doubler()], records, ctx).records == [
+            (i, 2 * i) for i in range(50)
+        ]
+
+
+class TestChainSizes:
+    def test_last_stage_sizes_each_record(self, ctx):
+        out = run_chain([Exploder(), Doubler()], [("a", 3), ("bc", "x")], ctx)
+        assert out.sizes == [sizeof_pair(k, v) for k, v in out.records]
+        assert out.bytes == sizeof_records(out.records)
+
+    def test_empty_chain_sizes_the_input(self, ctx):
+        records = [("a", 1), ("é", (2.0, None))]
+        out = run_chain([], records, ctx)
+        assert out.sizes == [sizeof_pair(k, v) for k, v in records]
+        assert out.bytes == sizeof_records(records)
 
 
 class TestChainName:

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.common.errors import DataFlowError
+from repro.common.sizing import sizeof_records
 from repro.mapreduce.api import FnMapper, FnReducer, IdentityMapper
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.runtime import JobRunner
+from repro.mapreduce.speculation import SpeculationConfig
+from repro.simcluster.faults import FaultPlan, TaskCrash
 
 
 def wordcount_conf(**overrides):
@@ -216,3 +219,100 @@ class TestHostConstraint:
         )
         res = JobRunner(cluster, dfs).run(conf)
         assert len({r.node_host for r in res.map_runs}) > 1
+
+
+def assert_byte_counters(runner, conf, res):
+    """Every per-task byte counter equals a direct sizing of the records
+    that task actually read or wrote."""
+    n = conf.num_reduce_tasks
+    assert res.map_runs
+    for run in res.map_runs:
+        out_bytes = sizeof_records(run.output)
+        assert run.counters.get("task", "map_output_bytes") == out_bytes
+        assert run.output_bytes == out_bytes
+    for run in res.reduce_runs:
+        records = runner.reduce_input_for(res.map_runs, run.partition)
+        records += [
+            r
+            for r in conf.side_reduce_inputs
+            if conf.partitioner.partition(r[0], n) == run.partition
+        ]
+        in_bytes = sizeof_records(records)
+        assert run.counters.get("task", "reduce_input_bytes") == in_bytes
+        assert run.input_bytes == in_bytes
+        out_bytes = sizeof_records(run.output)
+        assert run.counters.get("task", "reduce_output_bytes") == out_bytes
+        assert run.output_bytes == out_bytes
+    assert res.counters.get("task", "map_output_bytes") == sum(
+        sizeof_records(run.output) for run in res.map_runs
+    )
+
+
+def _stringify(k, v):
+    yield (k, ("total", str(v) * 3, [v, 1.5]))
+
+
+class TestByteCounters:
+    def test_plain_job(self, loaded):
+        conf = wordcount_conf()
+        res = loaded.run(conf)
+        assert_byte_counters(loaded, conf, res)
+
+    def test_combiner(self, loaded):
+        conf = wordcount_conf(combiner=FnReducer(lambda k, vs: [(k, sum(vs))]))
+        res = loaded.run(conf)
+        assert res.counters.get("task", "combine_output_records") > 0
+        assert_byte_counters(loaded, conf, res)
+        # The reducers read the combined buckets, not the raw map output.
+        assert res.counters.get("task", "reduce_input_bytes") < res.counters.get(
+            "task", "map_output_bytes"
+        )
+
+    def test_reduce_post_chain(self, loaded):
+        conf = wordcount_conf(reduce_post_chain=[FnMapper(_stringify)])
+        res = loaded.run(conf)
+        assert all(isinstance(v, tuple) for _, v in res.output)
+        assert_byte_counters(loaded, conf, res)
+
+    def test_side_reduce_inputs(self, loaded):
+        side = [("alpha", 1)] * 30 + [("side-only", 7), (("t", 2), 4)]
+        conf = wordcount_conf(side_reduce_inputs=side)
+        res = loaded.run(conf)
+        assert dict(res.output)["side-only"] == 7
+        assert_byte_counters(loaded, conf, res)
+
+    def test_map_only(self, loaded):
+        conf = wordcount_conf(reducer=None, num_reduce_tasks=0)
+        res = loaded.run(conf)
+        assert not res.reduce_runs
+        assert_byte_counters(loaded, conf, res)
+
+    def test_crash_retried_tasks(self, cluster, dfs, loaded):
+        plan = FaultPlan(
+            task_crashes=[
+                TaskCrash("wc-m0000", after_records=5),
+                TaskCrash("wc-r0001", after_records=5, attempts=2),
+            ]
+        )
+        runner = JobRunner(cluster, dfs, fault_plan=plan)
+        conf = wordcount_conf()
+        res = runner.run(conf)
+        retried = {
+            r.task_id
+            for r in res.map_runs + res.reduce_runs
+            if r.counters.get("fault", "tasks_retried")
+        }
+        assert retried == {"wc-m0000", "wc-r0001"}
+        assert_byte_counters(runner, conf, res)
+
+    def test_speculative_backup(self, cluster, dfs, loaded):
+        runner = JobRunner(
+            cluster,
+            dfs,
+            fault_plan=FaultPlan(seed=3, straggler_factors={"node01": 4.0}),
+            speculation=SpeculationConfig(),
+        )
+        conf = wordcount_conf()
+        res = runner.run(conf)
+        assert res.counters.get("spec", "backups_won") > 0
+        assert_byte_counters(runner, conf, res)

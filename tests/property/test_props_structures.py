@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.sizing import sizeof
+from repro.common.sizing import sizeof, sizeof_records
 from repro.core.cache import LRUCache
 from repro.core.statistics import FMSketch
 from repro.indices.btree import BTree
@@ -201,9 +201,10 @@ class TestShuffleProperties:
 
     @given(records, st.integers(min_value=1, max_value=16))
     def test_partitioning_is_a_partition(self, recs, n):
-        buckets = partition_records(recs, HashPartitioner(), n)
+        buckets, totals = partition_records(recs, HashPartitioner(), n)
         flat = [r for b in buckets for r in b]
         assert sorted(flat) == sorted(recs)
+        assert totals == [sizeof_records(b) for b in buckets]
 
     @given(records)
     def test_grouping_preserves_multiset(self, recs):
