@@ -19,8 +19,9 @@ Layout:
   change).
 * :mod:`repro.obs.export`  -- Chrome ``trace_event`` JSON + JSONL
   exporters and the trace validator.
-* :mod:`repro.obs.report`  -- the ``python -m repro.obs report``
-  summarizer (critical path, slowest lookups, re-plan timeline).
+
+``python -m repro.obs`` offers ``validate`` and ``live``; the summary of
+an exported trace is ``python -m repro.obs.analysis report``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ did this change make anything slower":
 * :mod:`repro.obs.analysis.drift`         -- Eq 1-4 cost-model drift:
   re-prices every audit-log evaluation from its recorded samples and
   joins predictions against measured per-strategy times in the trace;
+  also lists the slowest lookup spans and the re-plan timeline;
 * :mod:`repro.obs.analysis.regress`       -- BENCH baseline comparison
   (``python -m repro.obs.analysis regress OLD NEW``) with configurable
   tolerances, non-zero exit on regression;
@@ -27,8 +28,10 @@ did this change make anything slower":
   verdict-flip, counter, and alert-timeline diffs
   (``python -m repro.obs.analysis diff OLD NEW``).
 
-Everything here consumes *exported* artifacts -- never live tracer
-objects -- so it runs on anything downloaded from CI.
+``python -m repro.obs.analysis report`` is the one text summary of a
+trace; ``diff`` and ``regress`` compare two runs. Everything here
+consumes *exported* artifacts -- never live tracer objects -- so it
+runs on anything downloaded from CI.
 """
 
 from repro.obs.analysis.loader import (

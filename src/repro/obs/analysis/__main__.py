@@ -2,13 +2,17 @@
 
 Subcommands::
 
-    report        TRACE [--json]   critical path + stragglers + drift
-    critical-path TRACE [--json]   per-job critical path only
-    stragglers    TRACE [--json]   per-phase straggler/skew profile only
-    drift         TRACE [--json]   cost-model drift only
+    report TRACE [--json]             the one summary of a trace
     diff OLD NEW [--json] [--top K]   two-run hierarchical diff
     regress OLD NEW [--tolerance-config FILE | --rel-tol X --abs-tol Y]
                  [--trace-old DIR --trace-new DIR]
+
+``report`` prints, per exported run: a header (span count, max depth,
+capped detail), each job's critical path, the per-wave straggler and
+skew profile, cost-model drift, the slowest lookup spans, the re-plan
+timeline from the audit log and, for ``--live`` runs, the SLO alerts;
+then the executed-equivalence check across the directory. ``--json``
+carries the analyses as documents instead.
 
 ``TRACE`` is one ``*.trace.json`` export or a directory of them (as
 written by ``python -m repro.bench --trace DIR``). Artifact problems --
@@ -24,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List
 
 from repro.obs.analysis import critical_path as cp
 from repro.obs.analysis import diff as df
@@ -61,30 +64,6 @@ def _analyze(artifact: TraceArtifacts) -> dict:
     }
 
 
-def _print_critical_path(artifact: TraceArtifacts) -> None:
-    for path in cp.critical_paths(artifact.spans, alerts=artifact.alert_rows):
-        for line in cp.render(path):
-            print(line)
-
-
-def _print_stragglers(artifact: TraceArtifacts) -> None:
-    for line in st.render(
-        st.phase_profiles(artifact.spans, alerts=artifact.alert_rows)
-    ):
-        print(line)
-
-
-def _print_drift(artifacts: List[TraceArtifacts]) -> None:
-    equivalence = dr.executed_equivalence(artifacts)
-    for artifact in artifacts:
-        print(f"--- {artifact.base} ---")
-        for line in dr.render(dr.job_drift(artifact)):
-            print(line)
-    if equivalence:
-        for line in dr.render([], equivalence):
-            print(line)
-
-
 def cmd_report(args) -> int:
     artifacts = load_artifacts(args.trace)
     if args.json:
@@ -97,69 +76,24 @@ def cmd_report(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     for artifact in artifacts:
-        print(f"=== {artifact.base} ===")
-        _print_critical_path(artifact)
-        _print_stragglers(artifact)
-        print("cost-model drift:")
-        for line in dr.render(dr.job_drift(artifact)):
-            print(f"  {line}")
+        alerts = artifact.alert_rows
+        lines = [f"=== {artifact.base} ===", artifact.header()]
+        for path in cp.critical_paths(artifact.spans, alerts=alerts):
+            lines += cp.render(path)
+        lines += st.render(st.phase_profiles(artifact.spans, alerts=alerts))
+        lines.append("cost-model drift:")
+        lines += [f"  {line}" for line in dr.render(dr.job_drift(artifact))]
+        lines += ["--- slowest lookups ---", *dr.slowest_lookups(artifact.spans)]
+        lines += ["--- re-plan timeline ---", *dr.replan_timeline(artifact.audit_rows)]
+        if alerts:
+            from repro.obs.live.engine import summary_lines
+
+            lines += ["--- SLO alerts ---", *summary_lines(alerts)]
+        print("\n".join(lines))
     equivalence = dr.executed_equivalence(artifacts)
     if equivalence:
         for line in dr.render([], equivalence):
             print(line)
-    return 0
-
-
-def cmd_critical_path(args) -> int:
-    artifacts = load_artifacts(args.trace)
-    if args.json:
-        doc = {
-            a.base: [
-                p.to_dict()
-                for p in cp.critical_paths(a.spans, alerts=a.alert_rows)
-            ]
-            for a in artifacts
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    for artifact in artifacts:
-        print(f"=== {artifact.base} ===")
-        _print_critical_path(artifact)
-    return 0
-
-
-def cmd_stragglers(args) -> int:
-    artifacts = load_artifacts(args.trace)
-    if args.json:
-        doc = {
-            a.base: [
-                p.to_dict()
-                for p in st.phase_profiles(a.spans, alerts=a.alert_rows)
-            ]
-            for a in artifacts
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    for artifact in artifacts:
-        print(f"=== {artifact.base} ===")
-        _print_stragglers(artifact)
-    return 0
-
-
-def cmd_drift(args) -> int:
-    artifacts = load_artifacts(args.trace)
-    if args.json:
-        doc = {
-            "jobs": {
-                a.base: [d.to_dict() for d in dr.job_drift(a)] for a in artifacts
-            },
-            "executed_equivalence": [
-                e.to_dict() for e in dr.executed_equivalence(artifacts)
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    _print_drift(artifacts)
     return 0
 
 
@@ -222,16 +156,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def trace_cmd(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("trace", help="a *.trace.json file or a directory of them")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
-
-    trace_cmd("report", cmd_report, "critical path + stragglers + drift")
-    trace_cmd("critical-path", cmd_critical_path, "per-job critical path")
-    trace_cmd("stragglers", cmd_stragglers, "per-phase straggler/skew profile")
-    trace_cmd("drift", cmd_drift, "cost-model drift detection")
+    p = sub.add_parser(
+        "report",
+        help="one summary per trace: critical path, stragglers, drift, "
+        "slowest lookups, re-plan timeline, SLO alerts",
+    )
+    p.add_argument("trace", help="a *.trace.json file or a directory of them")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "diff",

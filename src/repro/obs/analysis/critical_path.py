@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from statistics import median
 from typing import Dict, List, Optional
 
 from repro.obs.trace import (
@@ -101,6 +102,11 @@ class PhaseSummary:
     attribution: Dict[str, float]
     #: per wave: slowest-minus-median task duration; summed headroom.
     whatif_wave_slack: Dict[int, float]
+    #: the slot whose tasks end the phase ("" when it ran none), and the
+    #: seconds those tasks occupied it; the rest of the phase is slack
+    #: (slot idle gaps and the phase tail).
+    track: str = ""
+    chain: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -125,6 +131,8 @@ class PhaseSummary:
                 str(w): s for w, s in sorted(self.whatif_wave_slack.items())
             },
             "whatif_total_slack": self.whatif_total_slack,
+            "track": self.track,
+            "chain": self.chain,
         }
 
 
@@ -213,15 +221,6 @@ def _task_attribution(task: dict) -> Dict[str, float]:
     return out
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _walk_phase(
     phase: dict,
     stage_job: str,
@@ -247,19 +246,20 @@ def _walk_phase(
     ]
     attribution: Dict[str, float] = {}
     on_path = 0
+    track = ""
+    chain = 0.0
     if mine:
         # The phase ends when its last slot finishes; that slot's tasks
         # (and crashed attempts) are the binding chain.
         last = max(mine, key=lambda t: (t["start"] + t["dur"], t["track"]))
-        chain = sorted(
-            (t for t in mine if t["track"] == last["track"]),
-            key=lambda t: t["start"],
-        )
-        for t in chain:
+        track = last["track"]
+        for t in sorted(
+            (t for t in mine if t["track"] == track), key=lambda t: t["start"]
+        ):
             if t["start"] > cursor + _EPS:
                 seg = PathSegment(
                     "slot.idle", "slot idle", cursor, t["start"],
-                    stage=stage_job, phase=kind, track=last["track"],
+                    stage=stage_job, phase=kind, track=track,
                 )
                 segments.append(seg)
                 attribution["slot.idle"] = (
@@ -288,6 +288,7 @@ def _walk_phase(
             )
             segments.append(seg)
             on_path += 1
+            chain += seg.duration
             for bucket, seconds in seg.attribution.items():
                 attribution[bucket] = attribution.get(bucket, 0.0) + seconds
             cursor = seg.end
@@ -310,7 +311,7 @@ def _walk_phase(
             continue
         by_wave.setdefault(int(t["args"].get("wave", 0)), []).append(t["dur"])
     slack = {
-        wave: max(durs) - _median(durs) for wave, durs in sorted(by_wave.items())
+        wave: max(durs) - median(durs) for wave, durs in sorted(by_wave.items())
     }
     return PhaseSummary(
         stage=stage_job,
@@ -322,22 +323,22 @@ def _walk_phase(
         waves=len(by_wave),
         attribution=attribution,
         whatif_wave_slack=slack,
+        track=track,
+        chain=chain,
     )
 
 
-def _annotate_alerts(
-    segments: List[PathSegment], alerts: Optional[List[dict]]
-) -> None:
-    """Stamp each segment with the live SLO alerts whose firing window
-    overlapped it (the alert-annotated analysis join)."""
+def alert_labels_between(
+    alerts: Optional[List[dict]], start: float, end: float
+) -> List[str]:
+    """``rule(severity)`` labels of the live SLO alerts whose firing
+    window overlaps ``[start, end]`` -- the alert-annotated analysis
+    join (no labels without an alert timeline)."""
     if not alerts:
-        return
+        return []
     from repro.obs.live.engine import alert_labels, overlapping_alerts
 
-    for seg in segments:
-        seg.alerts = alert_labels(
-            overlapping_alerts(alerts, seg.start, seg.end)
-        )
+    return alert_labels(overlapping_alerts(alerts, start, end))
 
 
 def job_critical_path(
@@ -404,7 +405,8 @@ def job_critical_path(
             cursor = stage_end
     if t1 > cursor + _EPS:
         segments.append(PathSegment("driver.tail", "job tail", cursor, t1))
-    _annotate_alerts(segments, alerts)
+    for seg in segments:
+        seg.alerts = alert_labels_between(alerts, seg.start, seg.end)
     return JobCriticalPath(
         job=job, start=t0, end=t1, segments=segments, phases=phases_out
     )
@@ -440,13 +442,18 @@ def render(path: JobCriticalPath, max_segments: int = 40) -> List[str]:
         f"segment(s)",
         f"  attribution: {attr}",
     ]
+    if path.phases:
+        lines.append("  per-phase critical path:")
     for phase in path.phases:
-        lines.append(
+        on_track = f" on {phase.track}" if phase.track else ""
+        lines += [
             f"  {phase.stage} {phase.kind}: {phase.duration:.3f}s, "
             f"{phase.tasks_on_path}/{phase.tasks_total} task(s) on path, "
             f"{phase.waves} wave(s), what-if slack "
-            f"{phase.whatif_total_slack:.3f}s"
-        )
+            f"{phase.whatif_total_slack:.3f}s",
+            f"    critical chain {phase.chain:.3f}s{on_track}, "
+            f"slack {phase.duration - phase.chain:.3f}s",
+        ]
     shown = path.segments[:max_segments]
     for seg in shown:
         detail = ""

@@ -21,12 +21,15 @@ Three independent checks over one traced run (or a directory of them):
   priced. A Dynamic/Optimized run measurably slower than the cheapest
   forced variant is flagged: the chosen plan was not the cheapest
   executed-equivalent.
+
+The report also lists the raw evidence these checks read: the slowest
+lookup spans and the audit trail as a re-plan timeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 from repro.core.costmodel import CostEnv, Placement, Strategy, strategy_cost
 from repro.core.statistics import IndexStats, OperatorStats
@@ -150,6 +153,10 @@ class ExecutedEquivalence:
 # ----------------------------------------------------------------------
 # Recompute Equations 1-4 from the audit record's own inputs
 # ----------------------------------------------------------------------
+#: IndexStats field name -> its type, to rebuild a recorded sample.
+_INDEX_STAT_TYPES = get_type_hints(IndexStats)
+
+
 def _stats_from_detail(detail: dict) -> OperatorStats:
     sizes = detail.get("sizes") or {}
     op = OperatorStats(n1=float(detail.get("n1", 0.0)))
@@ -157,25 +164,15 @@ def _stats_from_detail(detail: dict) -> OperatorStats:
         if attr in sizes:
             setattr(op, attr, float(sizes[attr]))
     for j_str, s in sorted(detail.get("samples", {}).items()):
-        idx = IndexStats(
-            nik=float(s.get("nik", 1.0)),
-            sik=float(s.get("sik", 8.0)),
-            siv=float(s.get("siv", 64.0)),
-            tj=float(s.get("tj", 0.0)),
-            miss_ratio=float(s.get("miss_ratio", 1.0)),
-            theta=float(s.get("theta", 1.0)),
-            distinct=float(s.get("distinct", 0.0)),
-            batch_fill=float(s.get("batch_fill", 1.0)),
-            c_req=float(s.get("c_req", 0.0)),
-            c_key=float(s.get("c_key", 0.0)),
-            batches_observed=int(s.get("batches_observed", 0)),
-            lookups_observed=int(s.get("lookups_observed", 0)),
-            probes_observed=int(s.get("probes_observed", 0)),
-            reuse_hit_ratio=float(s.get("reuse_hit_ratio", 0.0)),
-            reuse_seed=float(s.get("reuse_seed", 0.0)),
-            reuse_probes_observed=int(s.get("reuse_probes_observed", 0)),
+        # Every IndexStats field the sample recorded (audit.index_samples
+        # writes them all); a field it lacks keeps its default.
+        op.per_index[int(j_str)] = IndexStats(
+            **{
+                f.name: _INDEX_STAT_TYPES[f.name](s[f.name])
+                for f in fields(IndexStats)
+                if f.name in s
+            }
         )
-        op.per_index[int(j_str)] = idx
     return op
 
 
@@ -448,6 +445,75 @@ def executed_equivalence(
                 )
             )
     return out
+
+
+# ----------------------------------------------------------------------
+# Report sections: the slowest lookups behind the measured terms, and
+# the audit trail as a timeline
+# ----------------------------------------------------------------------
+#: How many of the slowest lookup spans the report lists.
+SLOWEST_LOOKUPS = 10
+
+
+def slowest_lookups(spans: List[dict]) -> List[str]:
+    """The slowest ``lookup`` / ``lookup.batch`` / ``index.fetch``
+    spans by simulated duration (subject to the per-task detail cap)."""
+    lookups = [
+        s for s in spans if s["name"] in ("lookup", "lookup.batch", "index.fetch")
+    ]
+    if not lookups:
+        return ["no lookup spans in trace (detail may be capped or untraced)"]
+    lookups.sort(key=lambda s: s["dur"], reverse=True)
+    lines = [
+        f"top {min(SLOWEST_LOOKUPS, len(lookups))} of {len(lookups)} "
+        f"lookup span(s):"
+    ]
+    for s in lookups[:SLOWEST_LOOKUPS]:
+        extras = ", ".join(
+            f"{k}={v}" for k, v in sorted(s["args"].items()) if k != "depth"
+        )
+        lines.append(
+            f"  {s['name']} {s['dur'] * 1e3:.3f}ms @ t={s['start']:.3f}s"
+            f" on {s['track']}" + (f" ({extras})" if extras else "")
+        )
+    return lines
+
+
+def replan_timeline(audit_rows: List[dict]) -> List[str]:
+    """Every audit row in order: runtime notes, then each Algorithm-1
+    evaluation with its verdict, estimated gain and applied plan
+    change."""
+    if not audit_rows:
+        return ["no adaptive evaluations in audit log"]
+    evaluations = [r for r in audit_rows if r.get("verdict") != "note"]
+    notes = [r for r in audit_rows if r.get("verdict") == "note"]
+    lines = [f"{len(evaluations)} adaptive evaluation(s):"]
+    for row in notes:
+        payload = row.get("note") or {}
+        pairs = ", ".join(f"{k}={v}" for k, v in sorted(payload.items()))
+        lines.append(
+            f"  note {row.get('note_kind')} {row.get('job')}"
+            f" {row.get('phase')}@t={row.get('sim_time', 0.0):.3f}s"
+            + (f": {pairs}" if pairs else "")
+        )
+    for row in evaluations:
+        imp = row.get("improvement")
+        detail = f" gain={imp:.3f}s" if isinstance(imp, (int, float)) else ""
+        applied = " [applied]" if row.get("applied") else ""
+        lines.append(
+            f"  #{row.get('seq')} {row.get('job')} {row.get('phase')}"
+            f"@t={row.get('sim_time', 0.0):.3f}s: {row.get('verdict')}"
+            f"{detail}{applied}"
+        )
+        if row.get("verdict") == "replan" and row.get("new_plan"):
+            lines.append(
+                f"      {row.get('current_plan')} -> {row.get('new_plan')}"
+            )
+        reuse = row.get("reuse") or {}
+        if reuse:
+            pairs = ", ".join(f"{k}={v}" for k, v in sorted(reuse.items()))
+            lines.append(f"      reuse: {pairs}")
+    return lines
 
 
 # ----------------------------------------------------------------------

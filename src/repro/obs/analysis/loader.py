@@ -12,7 +12,9 @@ The loader finds and parses those sets, raising
 :class:`TraceArtifactError` -- with the file and the reason -- instead
 of a traceback when a directory is empty, an export was interrupted
 mid-write, or a file is not the format its name claims. Every analysis
-tool and the ``python -m repro.obs`` CLI go through it.
+tool and the ``python -m repro.obs`` CLI go through it, and
+:func:`find_trace_files` is the one place that decides which trace
+files a path names.
 """
 
 from __future__ import annotations
@@ -47,12 +49,31 @@ class TraceArtifacts:
     def dropped_detail(self) -> int:
         return self.payload.get("otherData", {}).get("dropped_detail", 0)
 
+    def header(self) -> str:
+        """Span count, deepest span depth and capped detail spans."""
+        depth = max((s["depth"] for s in self.spans), default=-1)
+        return (
+            f"{len(self.spans)} span(s), max depth {depth}, "
+            f"dropped detail {self.dropped_detail}"
+        )
+
 
 def find_trace_files(path: str) -> List[str]:
-    """Accept one ``*.trace.json`` file or a directory of them."""
-    if os.path.isdir(path):
-        return sorted(glob.glob(os.path.join(path, "*.trace.json")))
-    return [path]
+    """The trace files ``path`` names: the file itself, or a
+    directory's ``*.trace.json`` files in name order. A missing path or
+    a directory without traces is an error -- the caller asked to read
+    traces that are not there."""
+    if not os.path.exists(path):
+        raise TraceArtifactError(f"{path}: no such file or directory")
+    if not os.path.isdir(path):
+        return [path]
+    files = sorted(glob.glob(os.path.join(path, "*.trace.json")))
+    if not files:
+        raise TraceArtifactError(
+            f"{path}: no *.trace.json files found (did the traced bench "
+            f"run, and with --trace pointing here?)"
+        )
+    return files
 
 
 def load_json_file(path: str, kind: str) -> Any:
@@ -232,14 +253,6 @@ def load_one(trace_path: str) -> TraceArtifacts:
 
 def load_artifacts(path: str) -> List[TraceArtifacts]:
     """Load every export triple under ``path`` (a ``*.trace.json`` file
-    or a directory). An empty or missing directory is an error -- the
-    caller asked to analyze traces that are not there."""
-    if not os.path.exists(path):
-        raise TraceArtifactError(f"{path}: no such file or directory")
-    files = find_trace_files(path)
-    if not files:
-        raise TraceArtifactError(
-            f"{path}: no *.trace.json files found (did the traced bench "
-            f"run, and with --trace pointing here?)"
-        )
-    return [load_one(f) for f in files]
+    or a directory; see :func:`find_trace_files` for what is an
+    error)."""
+    return [load_one(f) for f in find_trace_files(path)]

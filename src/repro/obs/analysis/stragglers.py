@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import median
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.analysis.critical_path import alert_labels_between
 from repro.obs.trace import DEPTH_OP, DEPTH_TASK
 
 #: A task is flagged when its duration exceeds threshold x wave median.
@@ -57,15 +59,6 @@ def coefficient_of_variation(values: List[float]) -> float:
     return var**0.5 / mean
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, exact on boundaries --
     same rule as the metrics histograms)."""
@@ -85,12 +78,16 @@ class WaveProfile:
     p95: float
     max: float
     cv: float
+    #: (task id, slot track) of the wave's slowest completed task --
+    #: the one whose ``max`` duration bounds the wave.
+    slowest: Tuple[str, str]
 
     def to_dict(self) -> dict:
         return {
             "wave": self.wave, "tasks": self.tasks, "mean": self.mean,
             "median": self.median, "p95": self.p95, "max": self.max,
             "cv": self.cv,
+            "slowest": {"task": self.slowest[0], "track": self.slowest[1]},
         }
 
 
@@ -173,10 +170,10 @@ def _attribute_cause(
     peer_c = [_op_counts(p) for p in peers]
 
     def med_s(name: str) -> float:
-        return _median([p.get(name, 0.0) for p in peer_s]) if peer_s else 0.0
+        return median([p.get(name, 0.0) for p in peer_s]) if peer_s else 0.0
 
     def med_c(name: str) -> float:
-        return _median([p.get(name, 0.0) for p in peer_c]) if peer_c else 0.0
+        return median([p.get(name, 0.0) for p in peer_c]) if peer_c else 0.0
 
     evidence: Dict[str, Tuple[float, float]] = {}
     # Hard signals first: fault retries dominate any timing comparison.
@@ -205,7 +202,7 @@ def _attribute_cause(
                       "shuffle.merge", "dfs.read", "map.spill", "dfs.store")
         )
         peer_computes.append(max(0.0, p["dur"] - attributed))
-    compute_med = _median(peer_computes) if peer_computes else 0.0
+    compute_med = median(peer_computes) if peer_computes else 0.0
 
     excesses = {
         "lookup": lookup_mine - lookup_med,
@@ -240,7 +237,7 @@ def _attribute_cause(
             input_bytes.get(str(p["args"].get("task", "")), 0.0) for p in peers
         ]
         evidence["input.bytes"] = (
-            mine_bytes, _median(peer_bytes) if peer_bytes else 0.0
+            mine_bytes, median(peer_bytes) if peer_bytes else 0.0
         )
         return "partition-skew", evidence
     if cause == "input-read":
@@ -248,19 +245,6 @@ def _attribute_cause(
         return "input-skew", evidence
     evidence["compute.seconds"] = (compute_mine, compute_med)
     return "slow-compute", evidence
-
-
-def _span_alert_labels(
-    span: dict, alerts: Optional[List[dict]]
-) -> List[str]:
-    """Live SLO alert labels overlapping one task span's interval."""
-    if not alerts:
-        return []
-    from repro.obs.live.engine import alert_labels, overlapping_alerts
-
-    return alert_labels(
-        overlapping_alerts(alerts, span["start"], span["start"] + span["dur"])
-    )
 
 
 def phase_profiles(
@@ -315,22 +299,26 @@ def phase_profiles(
         wave_medians: Dict[int, float] = {}
         for wave, batch in sorted(by_wave.items()):
             durs = [t["dur"] for t in batch]
-            if len(batch) >= 2:
-                wave_medians[wave] = _median(durs)
+            wave_median = median(durs)
+            slowest = max(batch, key=lambda t: t["dur"])
             waves.append(
                 WaveProfile(
                     wave=wave,
                     tasks=len(batch),
                     mean=sum(durs) / len(durs),
-                    median=_median(durs),
+                    median=wave_median,
                     p95=_percentile(durs, 0.95),
-                    max=max(durs),
+                    max=slowest["dur"],
                     cv=coefficient_of_variation(durs),
+                    slowest=(
+                        str(slowest["args"].get("task", "?")),
+                        slowest["track"],
+                    ),
                 )
             )
             if len(batch) < 2:
                 continue
-            wave_median = _median(durs)
+            wave_medians[wave] = wave_median
             if wave_median <= 0:
                 continue
             for t in sorted(
@@ -350,7 +338,9 @@ def phase_profiles(
                         slowdown=t["dur"] / wave_median,
                         cause=cause,
                         evidence=evidence,
-                        alerts=_span_alert_labels(t, alerts),
+                        alerts=alert_labels_between(
+                            alerts, t["start"], t["start"] + t["dur"]
+                        ),
                     )
                 )
         # Killed primaries never ran to completion; judge their
@@ -375,7 +365,9 @@ def phase_profiles(
                     slowdown=projected / wave_median,
                     cause="mitigated-by-speculation",
                     evidence={"projected.seconds": (projected, wave_median)},
-                    alerts=_span_alert_labels(t, alerts),
+                    alerts=alert_labels_between(
+                        alerts, t["start"], t["start"] + t["dur"]
+                    ),
                 )
             )
         stragglers.sort(key=lambda s: (-s.slowdown, s.task))
@@ -418,7 +410,7 @@ def render(profiles: List[PhaseProfile], top_k: int = 5) -> List[str]:
             lines.append(
                 f"  wave {w.wave}: n={w.tasks} mean={w.mean:.3f}s "
                 f"median={w.median:.3f}s p95={w.p95:.3f}s max={w.max:.3f}s "
-                f"cv={w.cv:.3f}"
+                f"cv={w.cv:.3f}, slowest {w.slowest[0]} on {w.slowest[1]}"
             )
         if p.stragglers:
             for s in p.stragglers[:top_k]:

@@ -53,6 +53,31 @@ class TestRecompute:
         strategies = {r.strategy for r in drift.recomputed}
         assert strategies == {"base", "cache", "repart", "idxloc", "partial"}
 
+    def test_partial_build_reprices_exactly(self, efind_env, tmp_path):
+        """Under a half-built index every recorded cost prices the
+        build coverage in; re-pricing must read it back from the
+        sample rather than assume a full build."""
+        from repro.indices.build import BuildSession
+
+        session = BuildSession({efind_env.kv.name: efind_env.kv})
+        session.manager.advance(efind_env.kv.name, 0.5)
+        obs = Observability()
+        efind_env.runner(build=session, obs=obs).run(
+            efind_env.make_job("drift-partial"), mode="dynamic"
+        )
+        obs.export(str(tmp_path), "drift-partial")
+        (artifact,) = load_artifacts(str(tmp_path))
+        coverages = [
+            sample["build_coverage"]
+            for row in artifact.audit_rows
+            for detail in row.get("operators") or []
+            for sample in detail["samples"].values()
+        ]
+        assert coverages and all(0.0 < c < 1.0 for c in coverages)
+        (drift,) = job_drift(artifact)
+        assert drift.recomputed, "nothing recomputed"
+        assert drift.recompute_max_abs_error <= 1e-9
+
     def test_tampered_record_shows_error(self, dyn_artifact):
         row = next(r for r in dyn_artifact.audit_rows if r.get("operators"))
         import copy
